@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <map>
 #include <stdexcept>
 
 #include "graph/taskgraph.hpp"
@@ -15,6 +18,7 @@
 #include "sweep/spec.hpp"
 #include "sweep/summary.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace dagsched {
 namespace {
@@ -571,6 +575,227 @@ TEST(SweepSummary, HolmColumnIsConsistent) {
   EXPECT_NE(json.find("\"wilcoxon_p_holm\""), std::string::npos);
   const std::string table = sweep::render_summary_table(result, ranking);
   EXPECT_NE(table.find("p(holm)"), std::string::npos);
+}
+
+// A hand-built four-policy result whose three leaders sit at different
+// ranks: alpha leads the makespan ranking, bravo (rank 2) degrades least
+// under faults and delta (last) leads the online ranking.  Built row by
+// row, not through a sweep, so every count below can be read off the
+// columns by hand.
+struct HandBuiltPolicy {
+  const char* name;
+  std::vector<double> makespans;
+  std::vector<double> base_makespans;
+  std::vector<double> weighted_flow_us;
+  double hit_rate;
+};
+
+const std::vector<HandBuiltPolicy> kHandBuilt = {
+    {"alpha",
+     {100, 100, 100, 100, 100, 100},
+     {50, 50, 50, 50, 50, 50},
+     {1000, 1000, 1000, 1000, 1000, 1000},
+     0.5},
+    {"bravo",
+     {105, 110, 100, 120, 100, 95},
+     {105, 80, 100, 100, 100, 95},
+     {900, 1100, 950, 1200, 1000, 980},
+     0.6},
+    {"charlie",
+     {130, 120, 110, 140, 150, 100},
+     {100, 100, 100, 100, 100, 100},
+     {1500, 1400, 1300, 1200, 1100, 1000},
+     0.4},
+    {"delta",
+     {200, 180, 160, 150, 170, 190},
+     {100, 180, 80, 150, 100, 190},
+     {800, 1200, 1000, 900, 1300, 1000},
+     0.9},
+};
+
+sweep::SweepResult hand_built_result() {
+  sweep::SweepResult result;
+  result.spec.faults.machine_mtbf_us = {100, 100};
+  result.spec.arrivals.count = {2, 2};
+  for (const HandBuiltPolicy& policy : kHandBuilt) {
+    result.spec.policies.push_back(sweep::PolicySpec{policy.name, {}});
+  }
+  for (std::size_t r = 0; r < kHandBuilt[0].makespans.size(); ++r) {
+    sweep::InstanceResult row;
+    row.index = static_cast<int>(r);
+    for (const HandBuiltPolicy& policy : kHandBuilt) {
+      row.makespans.push_back(static_cast<Time>(policy.makespans[r]));
+      row.base_makespans.push_back(
+          static_cast<Time>(policy.base_makespans[r]));
+      row.retries.push_back(0);
+      row.restarts.push_back(0);
+      row.failed.push_back(0);
+      row.weighted_flow_us.push_back(policy.weighted_flow_us[r]);
+      row.hit_rate.push_back(policy.hit_rate);
+      row.p99_response.push_back(static_cast<Time>(policy.makespans[r]));
+      row.max_lateness.push_back(0);
+    }
+    result.instances.push_back(std::move(row));
+  }
+  return result;
+}
+
+// One paired-comparison family as read off a PolicySummary.
+struct FamilyView {
+  int better;
+  int worse;
+  double sign_p;
+  double wilcoxon_p;
+  double wilcoxon_p_holm;
+};
+
+// Asserts one family: the leader keeps the neutral defaults, every other
+// row carries the given strict better/worse counts against the leader,
+// the sign and Wilcoxon (over log differences of `metric`) p-values, and
+// Holm adjusts the non-leader rows' Wilcoxon p-values in ranking order.
+void expect_family(
+    const std::vector<sweep::PolicySummary>& ranking,
+    const std::function<FamilyView(const sweep::PolicySummary&)>& view,
+    const std::string& leader,
+    const std::map<std::string, std::pair<int, int>>& better_worse,
+    const std::function<std::vector<double>(const HandBuiltPolicy&)>&
+        metric) {
+  const auto column = [&](const std::string& name) {
+    for (const HandBuiltPolicy& policy : kHandBuilt) {
+      if (policy.name == name) return metric(policy);
+    }
+    ADD_FAILURE() << "unknown policy " << name;
+    return std::vector<double>{};
+  };
+  std::vector<double> raw;
+  for (const sweep::PolicySummary& s : ranking) {
+    SCOPED_TRACE(s.policy);
+    const FamilyView v = view(s);
+    if (s.policy == leader) {
+      EXPECT_EQ(v.better, 0);
+      EXPECT_EQ(v.worse, 0);
+      EXPECT_DOUBLE_EQ(v.sign_p, 1.0);
+      EXPECT_DOUBLE_EQ(v.wilcoxon_p, 1.0);
+      EXPECT_DOUBLE_EQ(v.wilcoxon_p_holm, 1.0);
+      continue;
+    }
+    EXPECT_EQ(v.better, better_worse.at(s.policy).first);
+    EXPECT_EQ(v.worse, better_worse.at(s.policy).second);
+    EXPECT_DOUBLE_EQ(v.sign_p, sign_test(v.better, v.worse).p_value);
+    const std::vector<double> mine = column(s.policy);
+    const std::vector<double> theirs = column(leader);
+    std::vector<double> log_diffs;
+    for (std::size_t r = 0; r < mine.size(); ++r) {
+      log_diffs.push_back(std::log(mine[r]) - std::log(theirs[r]));
+    }
+    EXPECT_DOUBLE_EQ(v.wilcoxon_p, wilcoxon_signed_rank(log_diffs).p_value);
+    raw.push_back(v.wilcoxon_p);
+  }
+  const std::vector<double> holm = holm_bonferroni(raw);
+  std::size_t k = 0;
+  for (const sweep::PolicySummary& s : ranking) {
+    if (s.policy == leader) continue;
+    EXPECT_DOUBLE_EQ(view(s).wilcoxon_p_holm, holm[k++]) << s.policy;
+  }
+}
+
+// The policy cells (column `policy_cell`) of the rows whose trailing
+// `paired_cells` cells are all "-" in the table section that starts at
+// `marker`.
+std::vector<std::string> dashed_rows(const std::string& table,
+                                     const std::string& marker,
+                                     std::size_t policy_cell,
+                                     std::size_t paired_cells) {
+  std::vector<std::string> dashed;
+  std::size_t pos = table.find(marker);
+  if (pos == std::string::npos) return dashed;
+  bool header = true;
+  for (pos = table.find('\n', pos); pos != std::string::npos;) {
+    const std::size_t end = table.find('\n', pos + 1);
+    const std::string line = table.substr(pos + 1, end - pos - 1);
+    pos = end;
+    if (line.empty() || (line[0] != '|' && line[0] != '+')) break;
+    if (line[0] == '+') continue;
+    if (header) {  // the first '|' line names the columns
+      header = false;
+      continue;
+    }
+    std::vector<std::string> cells;
+    std::size_t start = 1;
+    for (std::size_t bar = line.find('|', start); bar != std::string::npos;
+         bar = line.find('|', start)) {
+      std::string cell = line.substr(start, bar - start);
+      cell.erase(0, cell.find_first_not_of(' '));
+      cell.erase(cell.find_last_not_of(' ') + 1);
+      cells.push_back(cell);
+      start = bar + 1;
+    }
+    if (cells.size() > policy_cell + paired_cells &&
+        std::all_of(cells.end() - static_cast<std::ptrdiff_t>(paired_cells),
+                    cells.end(),
+                    [](const std::string& c) { return c == "-"; })) {
+      dashed.push_back(cells[policy_cell]);
+    }
+  }
+  return dashed;
+}
+
+TEST(SweepSummary, PairedFamiliesOnHandBuiltResult) {
+  const sweep::SweepResult result = hand_built_result();
+  const std::vector<sweep::PolicySummary> ranking = sweep::summarize(result);
+  ASSERT_EQ(ranking.size(), 4u);
+  EXPECT_EQ(ranking[0].policy, "alpha");
+  EXPECT_EQ(ranking[1].policy, "bravo");
+  EXPECT_EQ(ranking[2].policy, "charlie");
+  EXPECT_EQ(ranking[3].policy, "delta");
+
+  {
+    SCOPED_TRACE("vs_best");
+    expect_family(
+        ranking,
+        [](const sweep::PolicySummary& s) {
+          return FamilyView{s.better_than_best, s.worse_than_best, s.sign_p,
+                            s.wilcoxon_p, s.wilcoxon_p_holm};
+        },
+        "alpha", {{"bravo", {1, 3}}, {"charlie", {0, 5}}, {"delta", {0, 6}}},
+        [](const HandBuiltPolicy& p) { return p.makespans; });
+  }
+  {
+    SCOPED_TRACE("vs_least_degrading");
+    expect_family(
+        ranking,
+        [](const sweep::PolicySummary& s) {
+          return FamilyView{s.robust_better, s.robust_worse, s.robust_sign_p,
+                            s.robust_wilcoxon_p, s.robust_wilcoxon_p_holm};
+        },
+        "bravo", {{"alpha", {0, 6}}, {"charlie", {1, 4}}, {"delta", {2, 3}}},
+        [](const HandBuiltPolicy& p) {
+          std::vector<double> degradation;
+          for (std::size_t r = 0; r < p.makespans.size(); ++r) {
+            degradation.push_back(p.makespans[r] / p.base_makespans[r]);
+          }
+          return degradation;
+        });
+  }
+  {
+    SCOPED_TRACE("vs_online_leader");
+    expect_family(
+        ranking,
+        [](const sweep::PolicySummary& s) {
+          return FamilyView{s.online_better, s.online_worse, s.online_sign_p,
+                            s.online_wilcoxon_p, s.online_wilcoxon_p_holm};
+        },
+        "delta", {{"alpha", {2, 2}}, {"bravo", {4, 2}}, {"charlie", {1, 4}}},
+        [](const HandBuiltPolicy& p) { return p.weighted_flow_us; });
+  }
+
+  const std::string table = sweep::render_summary_table(result, ranking);
+  EXPECT_EQ(dashed_rows(table, "Sweep:", 1, 4),
+            std::vector<std::string>{"alpha"});
+  EXPECT_EQ(dashed_rows(table, "Robustness:", 0, 2),
+            std::vector<std::string>{"bravo"});
+  EXPECT_EQ(dashed_rows(table, "Online:", 0, 2),
+            std::vector<std::string>{"delta"});
 }
 
 TEST(JsonWriter, RendersDeterministicStructure) {

@@ -133,9 +133,9 @@ cmake --build "${smoke_dir}" --target sweep schedd -j"${jobs}"
 "${repo_root}/tools/sweep_golden.sh" "${smoke_dir}/sweep" \
   "${repo_root}/tools/sweep_golden.spec" "${repo_root}/tools/golden"
 "${repo_root}/tools/sweep_faulty.sh" "${smoke_dir}/sweep" \
-  "${repo_root}/tools/sweep_faulty.spec"
+  "${repo_root}/tools/sweep_faulty.spec" "${repo_root}/tools/golden"
 "${repo_root}/tools/sweep_online.sh" "${smoke_dir}/sweep" \
-  "${repo_root}/tools/sweep_online.spec"
+  "${repo_root}/tools/sweep_online.spec" "${repo_root}/tools/golden"
 "${repo_root}/tools/schedd_smoke.sh" "${smoke_dir}/schedd" \
   "${repo_root}/tools"
 "${smoke_dir}/sweep" --list-policies > /dev/null
