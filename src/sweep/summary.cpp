@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <tuple>
+#include <utility>
 
 #include "sweep/params.hpp"
 #include "util/csv.hpp"
@@ -14,135 +18,142 @@
 
 namespace dagsched::sweep {
 
+namespace {
+
+// The three figure-of-merit orderings.  Every ranking and every leader of
+// the summary, its artifact and its table comes from one of them; each
+// ends on the name, so over a spec's distinct policies it is total.
+
+// Makespan: geomean ratio, then win rate (descending), then name.
+bool makespan_before(const PolicySummary& a, const PolicySummary& b) {
+  return std::tie(a.geomean_ratio, b.win_rate, a.policy) <
+         std::tie(b.geomean_ratio, a.win_rate, b.policy);
+}
+
+// Robustness: geomean degradation, then failures, then name.
+bool robustness_before(const PolicySummary& a, const PolicySummary& b) {
+  return std::tie(a.geomean_degradation, a.failures, a.policy) <
+         std::tie(b.geomean_degradation, b.failures, b.policy);
+}
+
+// Online: mean hit rate (descending), then flow geomean, then name.
+bool online_before(const PolicySummary& a, const PolicySummary& b) {
+  return std::tie(b.mean_hit_rate, a.geomean_flow_ratio, a.policy) <
+         std::tie(a.mean_hit_rate, b.geomean_flow_ratio, b.policy);
+}
+
+using Ordering = bool (*)(const PolicySummary&, const PolicySummary&);
+
+// The row of `ranked` that leads under `before`.
+std::size_t leader_row(const std::vector<PolicySummary>& ranked,
+                       Ordering before) {
+  return static_cast<std::size_t>(
+      std::min_element(ranked.begin(), ranked.end(), before) -
+      ranked.begin());
+}
+
+// The policy names of `rows` in `before` order.
+std::vector<std::string> names_in_order(std::vector<PolicySummary> rows,
+                                        Ordering before) {
+  std::sort(rows.begin(), rows.end(), before);
+  std::vector<std::string> names;
+  names.reserve(rows.size());
+  for (PolicySummary& row : rows) names.push_back(std::move(row.policy));
+  return names;
+}
+
+// exp(mean(log(values))), the aggregate of every ratio column.
+double geomean(const std::vector<double>& values) {
+  double log_sum = 0.0;
+  for (double value : values) log_sum += std::log(value);
+  return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+// Per-policy ratios of one makespan column to its per-instance best, and
+// per-policy counts of instances matching that best — the makespan
+// ranking's figure of merit, over `makespans` or the fault-free
+// `base_makespans`.
+struct RatioColumns {
+  std::vector<std::vector<double>> ratios;
+  std::vector<int> wins;
+};
+
+RatioColumns ratio_columns(const SweepResult& result,
+                           std::vector<Time> InstanceResult::*column) {
+  const std::size_t num_policies = result.spec.policies.size();
+  require(!result.instances.empty() && num_policies > 0,
+          "sweep summary: empty sweep");
+  RatioColumns out{std::vector<std::vector<double>>(num_policies),
+                   std::vector<int>(num_policies, 0)};
+  for (const InstanceResult& row : result.instances) {
+    const std::vector<Time>& makespans = row.*column;
+    require(makespans.size() == num_policies,
+            "sweep summary: instance/policy shape mismatch");
+    const Time best = *std::min_element(makespans.begin(), makespans.end());
+    require(best > 0, "sweep summary: nonpositive best makespan");
+    for (std::size_t p = 0; p < num_policies; ++p) {
+      out.ratios[p].push_back(static_cast<double>(makespans[p]) /
+                              static_cast<double>(best));
+      if (makespans[p] == best) ++out.wins[p];
+    }
+  }
+  return out;
+}
+
+// Fills `family` of every row of `ranked` but `leader`: metric(spec
+// index, instance index) of the row against the leader's on every
+// instance — strict better/worse counts, the sign test, Wilcoxon over
+// the log differences, then Holm over the non-leader rows in ranking
+// order.  The leader keeps the neutral defaults.  `metric` returns Time
+// for makespans, so distinct makespans never tie as doubles.
+template <typename Metric>
+void fill_family(std::vector<PolicySummary>& ranked, std::size_t leader,
+                 PairedComparison PolicySummary::*family,
+                 std::size_t instances, Metric metric) {
+  const std::size_t theirs = ranked[leader].spec_index;
+  std::vector<double> log_diffs(instances);
+  std::vector<double> wilcoxon;
+  wilcoxon.reserve(ranked.size());
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    if (i == leader) continue;
+    PairedComparison& c = ranked[i].*family;
+    const std::size_t mine = ranked[i].spec_index;
+    for (std::size_t r = 0; r < instances; ++r) {
+      const auto a = metric(mine, r);
+      const auto b = metric(theirs, r);
+      if (a < b) ++c.better;
+      if (a > b) ++c.worse;
+      log_diffs[r] = std::log(static_cast<double>(a)) -
+                     std::log(static_cast<double>(b));
+    }
+    c.sign_p = sign_test(c.better, c.worse).p_value;
+    c.wilcoxon_p = wilcoxon_signed_rank(log_diffs).p_value;
+    wilcoxon.push_back(c.wilcoxon_p);
+  }
+  const std::vector<double> adjusted = holm_bonferroni(wilcoxon);
+  for (std::size_t i = 0, k = 0; i < ranked.size(); ++i) {
+    if (i != leader) (ranked[i].*family).wilcoxon_p_holm = adjusted[k++];
+  }
+}
+
+}  // namespace
+
 std::vector<PolicySummary> summarize(const SweepResult& result) {
   const std::size_t num_policies = result.spec.policies.size();
-  require(!result.instances.empty(), "summarize: empty sweep");
+  const std::size_t num_instances = result.instances.size();
+  const bool faulted = result.spec.faults.enabled();
+  const bool online = result.spec.arrivals.enabled();
+  const RatioColumns makespan =
+      ratio_columns(result, &InstanceResult::makespans);
 
-  struct Tally {
-    double makespan_sum_us = 0.0;
-    int wins = 0;
-    int timeouts = 0;
-    double plan_gap_log_sum = 0.0;
-    int plan_gap_count = 0;
-  };
-  std::vector<std::vector<double>> ratios(num_policies);
-  std::vector<Tally> tallies(num_policies);
+  // With fault injection on, every cell has a paired fault-free baseline
+  // (degradation = faulted / baseline makespan); with arrivals on, every
+  // cell carries the streamed metrics (flow ratio = weighted flow / the
+  // per-instance best).
+  std::vector<std::vector<double>> degradations(num_policies);
+  std::vector<std::vector<double>> flow_ratios(num_policies);
   for (const InstanceResult& row : result.instances) {
-    require(row.makespans.size() == num_policies,
-            "summarize: instance/policy shape mismatch");
-    const Time best = row.best();
-    require(best > 0, "summarize: nonpositive best makespan");
-    for (std::size_t p = 0; p < num_policies; ++p) {
-      const double ratio = static_cast<double>(row.makespans[p]) /
-                           static_cast<double>(best);
-      ratios[p].push_back(ratio);
-      tallies[p].makespan_sum_us += to_us(row.makespans[p]);
-      if (row.makespans[p] == best) ++tallies[p].wins;
-      if (p < row.timed_out.size() && row.timed_out[p] != 0) {
-        ++tallies[p].timeouts;
-      }
-      // Plan-vs-simulated gap: predicted is nonzero only for policies
-      // that build an offline plan.  Under fault injection the
-      // fault-free baseline (base_makespans) is the simulated side.
-      if (p < row.predicted_makespans.size() &&
-          row.predicted_makespans[p] > 0) {
-        const Time simulated = p < row.base_makespans.size()
-                                   ? row.base_makespans[p]
-                                   : row.makespans[p];
-        if (simulated > 0) {
-          tallies[p].plan_gap_log_sum +=
-              std::log(static_cast<double>(simulated) /
-                       static_cast<double>(row.predicted_makespans[p]));
-          ++tallies[p].plan_gap_count;
-        }
-      }
-    }
-  }
-
-  const double instances = static_cast<double>(result.instances.size());
-  std::vector<PolicySummary> summaries(num_policies);
-  for (std::size_t p = 0; p < num_policies; ++p) {
-    PolicySummary& s = summaries[p];
-    s.policy = result.spec.policies[p].canonical();
-    s.wins = tallies[p].wins;
-    s.win_rate = tallies[p].wins / instances;
-    double log_sum = 0.0;
-    for (double ratio : ratios[p]) log_sum += std::log(ratio);
-    s.geomean_ratio = std::exp(log_sum / instances);
-    s.mean_ratio = mean(ratios[p]);
-    s.p50_ratio = quantile(ratios[p], 0.5);
-    s.p90_ratio = quantile(ratios[p], 0.9);
-    s.max_ratio = *std::max_element(ratios[p].begin(), ratios[p].end());
-    s.mean_makespan_us = tallies[p].makespan_sum_us / instances;
-    s.timed_out = tallies[p].timeouts;
-    if (tallies[p].plan_gap_count > 0) {
-      s.plan_gap_geomean = std::exp(tallies[p].plan_gap_log_sum /
-                                    tallies[p].plan_gap_count);
-    }
-  }
-
-  std::sort(summaries.begin(), summaries.end(),
-            [](const PolicySummary& a, const PolicySummary& b) {
-              if (a.geomean_ratio != b.geomean_ratio) {
-                return a.geomean_ratio < b.geomean_ratio;
-              }
-              if (a.win_rate != b.win_rate) return a.win_rate > b.win_rate;
-              return a.policy < b.policy;
-            });
-
-  // Paired significance vs. the top-ranked policy: the same instances
-  // under every policy are matched pairs, so the ranking table can say
-  // whether each gap to the leader is meaningful (sweep-level statistical
-  // tests; cf. the PISA critique of single-instance comparisons).
-  std::size_t best_index = 0;
-  for (std::size_t p = 0; p < num_policies; ++p) {
-    if (result.spec.policies[p].canonical() == summaries[0].policy) {
-      best_index = p;
-    }
-  }
-  std::vector<double> log_diffs;
-  log_diffs.reserve(result.instances.size());
-  for (PolicySummary& s : summaries) {
-    std::size_t policy_index = 0;
-    for (std::size_t p = 0; p < num_policies; ++p) {
-      if (result.spec.policies[p].canonical() == s.policy) policy_index = p;
-    }
-    if (policy_index == best_index) continue;  // leader row keeps defaults
-    log_diffs.clear();
-    for (const InstanceResult& row : result.instances) {
-      const Time mine = row.makespans[policy_index];
-      const Time best = row.makespans[best_index];
-      if (mine < best) ++s.better_than_best;
-      if (mine > best) ++s.worse_than_best;
-      // log difference == log makespan ratio; scale-free across instances.
-      log_diffs.push_back(std::log(static_cast<double>(mine)) -
-                          std::log(static_cast<double>(best)));
-    }
-    s.sign_p = sign_test(s.better_than_best, s.worse_than_best).p_value;
-    s.wilcoxon_p = wilcoxon_signed_rank(log_diffs).p_value;
-  }
-
-  // Every non-leader row tests against the same leader — a family of
-  // m - 1 simultaneous comparisons, so control the family-wise error with
-  // a Holm-Bonferroni pass over the Wilcoxon p-values.  The leader keeps
-  // its neutral 1.0.
-  std::vector<double> family;
-  family.reserve(summaries.size());
-  for (std::size_t i = 1; i < summaries.size(); ++i) {
-    family.push_back(summaries[i].wilcoxon_p);
-  }
-  const std::vector<double> adjusted = holm_bonferroni(family);
-  for (std::size_t i = 1; i < summaries.size(); ++i) {
-    summaries[i].wilcoxon_p_holm = adjusted[i - 1];
-  }
-
-  // Robustness block: with fault injection on, every cell additionally
-  // has a paired fault-free baseline, so "which policy degrades least"
-  // is itself a paired comparison — sign/Wilcoxon/Holm against the
-  // least-degrading policy, exactly like vs_best against the fastest.
-  if (result.spec.faults.enabled()) {
-    std::vector<std::vector<double>> degradations(num_policies);
-    for (const InstanceResult& row : result.instances) {
+    if (faulted) {
       require(row.base_makespans.size() == num_policies &&
                   row.failed.size() == num_policies,
               "summarize: missing fault columns in a faulted sweep");
@@ -153,87 +164,7 @@ std::vector<PolicySummary> summarize(const SweepResult& result) {
                                   static_cast<double>(row.base_makespans[p]));
       }
     }
-    const auto policy_index_of = [&](const std::string& name) {
-      for (std::size_t p = 0; p < num_policies; ++p) {
-        if (result.spec.policies[p].canonical() == name) return p;
-      }
-      require(false, "summarize: unknown policy in ranking");
-      return std::size_t{0};
-    };
-    for (PolicySummary& s : summaries) {
-      const std::size_t p = policy_index_of(s.policy);
-      double retries_sum = 0.0;
-      double restarts_sum = 0.0;
-      int failures = 0;
-      for (const InstanceResult& row : result.instances) {
-        retries_sum += row.retries[p];
-        restarts_sum += row.restarts[p];
-        failures += row.failed[p] != 0 ? 1 : 0;
-      }
-      s.failures = failures;
-      s.success_rate = 1.0 - failures / instances;
-      s.mean_retries = retries_sum / instances;
-      s.mean_restarts = restarts_sum / instances;
-      double log_sum = 0.0;
-      for (double d : degradations[p]) log_sum += std::log(d);
-      s.geomean_degradation = std::exp(log_sum / instances);
-      s.p99_degradation = quantile(degradations[p], 0.99);
-    }
-    // Least-degrading leader: smallest geomean degradation, ties toward
-    // the fewest failures, then the name (all deterministic).
-    std::size_t leader_row = 0;
-    for (std::size_t i = 1; i < summaries.size(); ++i) {
-      const PolicySummary& a = summaries[i];
-      const PolicySummary& b = summaries[leader_row];
-      if (a.geomean_degradation < b.geomean_degradation ||
-          (a.geomean_degradation == b.geomean_degradation &&
-           (a.failures < b.failures ||
-            (a.failures == b.failures && a.policy < b.policy)))) {
-        leader_row = i;
-      }
-    }
-    const std::size_t leader = policy_index_of(summaries[leader_row].policy);
-    std::vector<double> robust_family;
-    std::vector<std::size_t> robust_rows;
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      if (i == leader_row) continue;
-      PolicySummary& s = summaries[i];
-      const std::size_t p = policy_index_of(s.policy);
-      log_diffs.clear();
-      for (std::size_t r = 0; r < degradations[p].size(); ++r) {
-        const double mine = degradations[p][r];
-        const double theirs = degradations[leader][r];
-        if (mine < theirs) ++s.robust_better;
-        if (mine > theirs) ++s.robust_worse;
-        log_diffs.push_back(std::log(mine) - std::log(theirs));
-      }
-      s.robust_sign_p = sign_test(s.robust_better, s.robust_worse).p_value;
-      s.robust_wilcoxon_p = wilcoxon_signed_rank(log_diffs).p_value;
-      robust_family.push_back(s.robust_wilcoxon_p);
-      robust_rows.push_back(i);
-    }
-    const std::vector<double> robust_adjusted =
-        holm_bonferroni(robust_family);
-    for (std::size_t i = 0; i < robust_rows.size(); ++i) {
-      summaries[robust_rows[i]].robust_wilcoxon_p_holm = robust_adjusted[i];
-    }
-  }
-
-  // Online block: with arrivals enabled every cell carries the streamed
-  // metrics, and "which policy serves the stream best" is again a paired
-  // per-instance comparison — sign/Wilcoxon/Holm over weighted-flow
-  // log-differences against the online leader (best mean hit-rate, ties
-  // toward the smallest flow geomean, then the name).
-  if (result.spec.arrivals.enabled()) {
-    const auto policy_index_of = [&](const std::string& name) {
-      for (std::size_t p = 0; p < num_policies; ++p) {
-        if (result.spec.policies[p].canonical() == name) return p;
-      }
-      require(false, "summarize: unknown policy in ranking");
-      return std::size_t{0};
-    };
-    std::vector<std::vector<double>> flow_ratios(num_policies);
-    for (const InstanceResult& row : result.instances) {
+    if (online) {
       require(row.weighted_flow_us.size() == num_policies &&
                   row.hit_rate.size() == num_policies,
               "summarize: missing online columns in an online sweep");
@@ -243,145 +174,123 @@ std::vector<PolicySummary> summarize(const SweepResult& result) {
         flow_ratios[p].push_back(row.weighted_flow_us[p] / best);
       }
     }
-    for (PolicySummary& s : summaries) {
-      const std::size_t p = policy_index_of(s.policy);
-      double hit_sum = 0.0;
-      double p99_sum = 0.0;
-      double lateness_sum = 0.0;
-      for (const InstanceResult& row : result.instances) {
+  }
+
+  const double instances = static_cast<double>(num_instances);
+  std::vector<PolicySummary> summaries(num_policies);
+  for (std::size_t p = 0; p < num_policies; ++p) {
+    PolicySummary& s = summaries[p];
+    s.policy = result.spec.policies[p].canonical();
+    s.spec_index = p;
+    s.wins = makespan.wins[p];
+    s.win_rate = s.wins / instances;
+    const std::vector<double>& ratios = makespan.ratios[p];
+    s.geomean_ratio = geomean(ratios);
+    s.mean_ratio = mean(ratios);
+    s.p50_ratio = quantile(ratios, 0.5);
+    s.p90_ratio = quantile(ratios, 0.9);
+    s.max_ratio = *std::max_element(ratios.begin(), ratios.end());
+
+    double makespan_sum_us = 0.0;
+    double plan_gap_log_sum = 0.0;
+    int plan_gap_count = 0;
+    double retries_sum = 0.0;
+    double restarts_sum = 0.0;
+    double hit_sum = 0.0;
+    double p99_sum = 0.0;
+    double lateness_sum = 0.0;
+    for (const InstanceResult& row : result.instances) {
+      makespan_sum_us += to_us(row.makespans[p]);
+      if (p < row.timed_out.size() && row.timed_out[p] != 0) ++s.timed_out;
+      // Plan-vs-simulated gap: predicted is nonzero only for policies
+      // that build an offline plan.  Under fault injection the
+      // fault-free baseline (base_makespans) is the simulated side.
+      if (p < row.predicted_makespans.size() &&
+          row.predicted_makespans[p] > 0) {
+        const Time simulated = p < row.base_makespans.size()
+                                   ? row.base_makespans[p]
+                                   : row.makespans[p];
+        if (simulated > 0) {
+          plan_gap_log_sum +=
+              std::log(static_cast<double>(simulated) /
+                       static_cast<double>(row.predicted_makespans[p]));
+          ++plan_gap_count;
+        }
+      }
+      if (faulted) {
+        retries_sum += row.retries[p];
+        restarts_sum += row.restarts[p];
+        s.failures += row.failed[p] != 0 ? 1 : 0;
+      }
+      if (online) {
         hit_sum += row.hit_rate[p];
         p99_sum += to_us(row.p99_response[p]);
         lateness_sum += to_us(row.max_lateness[p]);
       }
+    }
+    s.mean_makespan_us = makespan_sum_us / instances;
+    if (plan_gap_count > 0) {
+      s.plan_gap_geomean = std::exp(plan_gap_log_sum / plan_gap_count);
+    }
+    if (faulted) {
+      s.success_rate = 1.0 - s.failures / instances;
+      s.mean_retries = retries_sum / instances;
+      s.mean_restarts = restarts_sum / instances;
+      s.geomean_degradation = geomean(degradations[p]);
+      s.p99_degradation = quantile(degradations[p], 0.99);
+    }
+    if (online) {
       s.mean_hit_rate = hit_sum / instances;
       s.mean_p99_response_us = p99_sum / instances;
       s.mean_max_lateness_us = lateness_sum / instances;
-      double log_sum = 0.0;
-      for (double ratio : flow_ratios[p]) log_sum += std::log(ratio);
-      s.geomean_flow_ratio = std::exp(log_sum / instances);
+      s.geomean_flow_ratio = geomean(flow_ratios[p]);
     }
-    std::size_t leader_row = 0;
-    for (std::size_t i = 1; i < summaries.size(); ++i) {
-      const PolicySummary& a = summaries[i];
-      const PolicySummary& b = summaries[leader_row];
-      if (a.mean_hit_rate > b.mean_hit_rate ||
-          (a.mean_hit_rate == b.mean_hit_rate &&
-           (a.geomean_flow_ratio < b.geomean_flow_ratio ||
-            (a.geomean_flow_ratio == b.geomean_flow_ratio &&
-             a.policy < b.policy)))) {
-        leader_row = i;
-      }
-    }
-    const std::size_t leader = policy_index_of(summaries[leader_row].policy);
-    std::vector<double> online_family;
-    std::vector<std::size_t> online_rows;
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      if (i == leader_row) continue;
-      PolicySummary& s = summaries[i];
-      const std::size_t p = policy_index_of(s.policy);
-      log_diffs.clear();
-      for (const InstanceResult& row : result.instances) {
-        const double mine = row.weighted_flow_us[p];
-        const double theirs = row.weighted_flow_us[leader];
-        if (mine < theirs) ++s.online_better;
-        if (mine > theirs) ++s.online_worse;
-        log_diffs.push_back(std::log(mine) - std::log(theirs));
-      }
-      s.online_sign_p = sign_test(s.online_better, s.online_worse).p_value;
-      s.online_wilcoxon_p = wilcoxon_signed_rank(log_diffs).p_value;
-      online_family.push_back(s.online_wilcoxon_p);
-      online_rows.push_back(i);
-    }
-    const std::vector<double> online_adjusted =
-        holm_bonferroni(online_family);
-    for (std::size_t i = 0; i < online_rows.size(); ++i) {
-      summaries[online_rows[i]].online_wilcoxon_p_holm = online_adjusted[i];
-    }
+  }
+  std::sort(summaries.begin(), summaries.end(), makespan_before);
+
+  // Paired significance against each leader: the same instances under
+  // every policy are matched pairs, so every table can say whether each
+  // gap to its leader is meaningful (sweep-level statistical tests; cf.
+  // the PISA critique of single-instance comparisons).
+  fill_family(summaries, 0, &PolicySummary::vs_best, num_instances,
+              [&](std::size_t p, std::size_t r) {
+                return result.instances[r].makespans[p];
+              });
+  if (faulted) {
+    fill_family(summaries, leader_row(summaries, robustness_before),
+                &PolicySummary::vs_least_degrading, num_instances,
+                [&](std::size_t p, std::size_t r) {
+                  return degradations[p][r];
+                });
+  }
+  if (online) {
+    fill_family(summaries, leader_row(summaries, online_before),
+                &PolicySummary::vs_online_leader, num_instances,
+                [&](std::size_t p, std::size_t r) {
+                  return result.instances[r].weighted_flow_us[p];
+                });
   }
   return summaries;
 }
 
 std::vector<std::string> fault_free_ranking(const SweepResult& result) {
-  const std::size_t num_policies = result.spec.policies.size();
   require(result.spec.faults.enabled(),
           "fault_free_ranking: sweep has no fault ablation");
-  require(!result.instances.empty(), "fault_free_ranking: empty sweep");
-  struct Row {
-    std::string policy;
-    double geomean = 0.0;
-    int wins = 0;
-  };
-  std::vector<Row> rows(num_policies);
-  std::vector<double> log_sums(num_policies, 0.0);
-  for (const InstanceResult& row : result.instances) {
-    require(row.base_makespans.size() == num_policies,
-            "fault_free_ranking: missing baselines");
-    const Time best = *std::min_element(row.base_makespans.begin(),
-                                        row.base_makespans.end());
-    require(best > 0, "fault_free_ranking: nonpositive baseline");
-    for (std::size_t p = 0; p < num_policies; ++p) {
-      log_sums[p] += std::log(static_cast<double>(row.base_makespans[p]) /
-                              static_cast<double>(best));
-      if (row.base_makespans[p] == best) ++rows[p].wins;
-    }
-  }
+  const RatioColumns baseline =
+      ratio_columns(result, &InstanceResult::base_makespans);
   const double instances = static_cast<double>(result.instances.size());
-  for (std::size_t p = 0; p < num_policies; ++p) {
+  std::vector<PolicySummary> rows(result.spec.policies.size());
+  for (std::size_t p = 0; p < rows.size(); ++p) {
     rows[p].policy = result.spec.policies[p].canonical();
-    rows[p].geomean = std::exp(log_sums[p] / instances);
+    rows[p].win_rate = baseline.wins[p] / instances;
+    rows[p].geomean_ratio = geomean(baseline.ratios[p]);
   }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.geomean != b.geomean) return a.geomean < b.geomean;
-    if (a.wins != b.wins) return a.wins > b.wins;
-    return a.policy < b.policy;
-  });
-  std::vector<std::string> ranking;
-  ranking.reserve(rows.size());
-  for (const Row& row : rows) ranking.push_back(row.policy);
-  return ranking;
+  return names_in_order(std::move(rows), makespan_before);
 }
 
-std::vector<std::string> online_ranking(const SweepResult& result) {
-  const std::size_t num_policies = result.spec.policies.size();
-  require(result.spec.arrivals.enabled(),
-          "online_ranking: sweep has no arrival ablation");
-  require(!result.instances.empty(), "online_ranking: empty sweep");
-  struct Row {
-    std::string policy;
-    double hit_rate = 0.0;
-    double flow_geomean = 0.0;
-  };
-  std::vector<Row> rows(num_policies);
-  std::vector<double> hit_sums(num_policies, 0.0);
-  std::vector<double> log_sums(num_policies, 0.0);
-  for (const InstanceResult& row : result.instances) {
-    require(row.weighted_flow_us.size() == num_policies &&
-                row.hit_rate.size() == num_policies,
-            "online_ranking: missing online columns");
-    const double best = row.best_flow();
-    require(best > 0, "online_ranking: nonpositive best weighted flow");
-    for (std::size_t p = 0; p < num_policies; ++p) {
-      hit_sums[p] += row.hit_rate[p];
-      log_sums[p] += std::log(row.weighted_flow_us[p] / best);
-    }
-  }
-  const double instances = static_cast<double>(result.instances.size());
-  for (std::size_t p = 0; p < num_policies; ++p) {
-    rows[p].policy = result.spec.policies[p].canonical();
-    rows[p].hit_rate = hit_sums[p] / instances;
-    rows[p].flow_geomean = std::exp(log_sums[p] / instances);
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.hit_rate != b.hit_rate) return a.hit_rate > b.hit_rate;
-    if (a.flow_geomean != b.flow_geomean) {
-      return a.flow_geomean < b.flow_geomean;
-    }
-    return a.policy < b.policy;
-  });
-  std::vector<std::string> ranking;
-  ranking.reserve(rows.size());
-  for (const Row& row : rows) ranking.push_back(row.policy);
-  return ranking;
+std::vector<std::string> online_ranking(
+    const std::vector<PolicySummary>& ranking) {
+  return names_in_order(ranking, online_before);
 }
 
 std::string summary_json(const SweepResult& result,
@@ -406,17 +315,20 @@ std::string summary_json(const SweepResult& result,
       w.end_array();
     }
   };
-  // Key names come from the comm ParamDef table (params.hpp), the same
-  // names the spec parser accepts.
-  const auto comm_defs = comm_param_defs();
-  const ParamRange* comm_ranges[] = {&spec.comm.sigma_us,
-                                     &spec.comm.tau_us};
-  require(comm_defs.size() == std::size(comm_ranges),
-          "summary_json: comm ParamDef table out of sync");
-  for (std::size_t i = 0; i < comm_defs.size(); ++i) {
-    w.key(comm_defs[i].name);
-    emit_range(*comm_ranges[i]);
-  }
+  // Key names come from the ParamDef tables (params.hpp), the same names
+  // the spec parser accepts.
+  const auto emit_params =
+      [&](std::span<const ParamDef> defs,
+          std::initializer_list<const ParamRange*> ranges) {
+        require(defs.size() == ranges.size(),
+                "summary_json: ParamDef table out of sync");
+        std::size_t i = 0;
+        for (const ParamRange* range : ranges) {
+          w.key(defs[i++].name);
+          emit_range(*range);
+        }
+      };
+  emit_params(comm_param_defs(), {&spec.comm.sigma_us, &spec.comm.tau_us});
   w.key("comm_send_cpu");
   w.begin_array();
   for (SendCpu mode : spec.comm.send_cpu) {
@@ -426,37 +338,24 @@ std::string summary_json(const SweepResult& result,
   // Fault-ablation echo, only when enabled — zero-fault sweeps keep
   // their historical artifacts byte for byte.
   if (spec.faults.enabled()) {
-    const auto fault_defs = fault_param_defs();
-    const ParamRange* fault_ranges[] = {
-        &spec.faults.machine_mtbf_us, &spec.faults.machine_mttr_us,
-        &spec.faults.stall_mtbf_us,   &spec.faults.stall_us,
-        &spec.faults.link_mtbf_us,    &spec.faults.link_mttr_us,
-        &spec.faults.link_drop_prob,  &spec.faults.link_degrade_factor,
-        &spec.faults.msg_timeout_us,  &spec.faults.retry_backoff_us};
-    require(fault_defs.size() == std::size(fault_ranges),
-            "summary_json: fault ParamDef table out of sync");
-    for (std::size_t i = 0; i < fault_defs.size(); ++i) {
-      w.key(fault_defs[i].name);
-      emit_range(*fault_ranges[i]);
-    }
+    emit_params(fault_param_defs(),
+                {&spec.faults.machine_mtbf_us, &spec.faults.machine_mttr_us,
+                 &spec.faults.stall_mtbf_us, &spec.faults.stall_us,
+                 &spec.faults.link_mtbf_us, &spec.faults.link_mttr_us,
+                 &spec.faults.link_drop_prob,
+                 &spec.faults.link_degrade_factor,
+                 &spec.faults.msg_timeout_us, &spec.faults.retry_backoff_us});
     w.key("fault_max_retries");
     w.value(spec.faults.max_retries);
   }
   // Arrival-ablation echo, only when enabled — offline sweeps keep their
   // historical artifacts byte for byte.
   if (spec.arrivals.enabled()) {
-    const auto arrival_defs = arrival_param_defs();
-    const ParamRange* arrival_ranges[] = {
-        &spec.arrivals.count,          &spec.arrivals.gap_us,
-        &spec.arrivals.burst_prob,     &spec.arrivals.burst_mult,
-        &spec.arrivals.deadline_slack, &spec.arrivals.jitter,
-        &spec.arrivals.weight_max};
-    require(arrival_defs.size() == std::size(arrival_ranges),
-            "summary_json: arrival ParamDef table out of sync");
-    for (std::size_t i = 0; i < arrival_defs.size(); ++i) {
-      w.key(arrival_defs[i].name);
-      emit_range(*arrival_ranges[i]);
-    }
+    emit_params(arrival_param_defs(),
+                {&spec.arrivals.count, &spec.arrivals.gap_us,
+                 &spec.arrivals.burst_prob, &spec.arrivals.burst_mult,
+                 &spec.arrivals.deadline_slack, &spec.arrivals.jitter,
+                 &spec.arrivals.weight_max});
   }
   // Echo the *resolved* oracle kind: the default kAuto resolves through
   // the registry's capability traits, and emitting the resolution keeps
@@ -487,14 +386,7 @@ std::string summary_json(const SweepResult& result,
       w.begin_object();
       for (const FamilyParam& param : family.params) {
         w.key(param.name);
-        if (param.range.is_single()) {
-          w.value(param.range.lo);
-        } else {
-          w.begin_array();
-          w.value(param.range.lo);
-          w.value(param.range.hi);
-          w.end_array();
-        }
+        emit_range(param.range);
       }
       w.end_object();
     }
@@ -506,6 +398,21 @@ std::string summary_json(const SweepResult& result,
   w.key("instances");
   w.value(static_cast<std::int64_t>(result.instances.size()));
 
+  const auto emit_paired = [&w](const char* key, const PairedComparison& c) {
+    w.key(key);
+    w.begin_object();
+    w.key("better");
+    w.value(c.better);
+    w.key("worse");
+    w.value(c.worse);
+    w.key("sign_p");
+    w.value(c.sign_p);
+    w.key("wilcoxon_p");
+    w.value(c.wilcoxon_p);
+    w.key("wilcoxon_p_holm");
+    w.value(c.wilcoxon_p_holm);
+    w.end_object();
+  };
   w.key("ranking");
   w.begin_array();
   for (const PolicySummary& s : ranking) {
@@ -532,19 +439,7 @@ std::string summary_json(const SweepResult& result,
     w.value(s.timed_out);
     w.key("plan_gap");
     w.value(s.plan_gap_geomean);
-    w.key("vs_best");
-    w.begin_object();
-    w.key("better");
-    w.value(s.better_than_best);
-    w.key("worse");
-    w.value(s.worse_than_best);
-    w.key("sign_p");
-    w.value(s.sign_p);
-    w.key("wilcoxon_p");
-    w.value(s.wilcoxon_p);
-    w.key("wilcoxon_p_holm");
-    w.value(s.wilcoxon_p_holm);
-    w.end_object();
+    emit_paired("vs_best", s.vs_best);
     if (spec.faults.enabled()) {
       w.key("robustness");
       w.begin_object();
@@ -560,19 +455,7 @@ std::string summary_json(const SweepResult& result,
       w.value(s.geomean_degradation);
       w.key("p99_degradation");
       w.value(s.p99_degradation);
-      w.key("vs_least_degrading");
-      w.begin_object();
-      w.key("better");
-      w.value(s.robust_better);
-      w.key("worse");
-      w.value(s.robust_worse);
-      w.key("sign_p");
-      w.value(s.robust_sign_p);
-      w.key("wilcoxon_p");
-      w.value(s.robust_wilcoxon_p);
-      w.key("wilcoxon_p_holm");
-      w.value(s.robust_wilcoxon_p_holm);
-      w.end_object();
+      emit_paired("vs_least_degrading", s.vs_least_degrading);
       w.end_object();
     }
     if (spec.arrivals.enabled()) {
@@ -586,46 +469,30 @@ std::string summary_json(const SweepResult& result,
       w.value(s.mean_p99_response_us);
       w.key("mean_max_lateness_us");
       w.value(s.mean_max_lateness_us);
-      w.key("vs_online_leader");
-      w.begin_object();
-      w.key("better");
-      w.value(s.online_better);
-      w.key("worse");
-      w.value(s.online_worse);
-      w.key("sign_p");
-      w.value(s.online_sign_p);
-      w.key("wilcoxon_p");
-      w.value(s.online_wilcoxon_p);
-      w.key("wilcoxon_p_holm");
-      w.value(s.online_wilcoxon_p_holm);
-      w.end_object();
+      emit_paired("vs_online_leader", s.vs_online_leader);
       w.end_object();
     }
     w.end_object();
   }
   w.end_array();
 
+  const auto emit_names = [&w](const char* key,
+                               const std::vector<std::string>& names) {
+    w.key(key);
+    w.begin_array();
+    for (const std::string& name : names) w.value(name);
+    w.end_array();
+  };
+  // The online ranking of the same instances, next to the makespan
+  // ranking above, so an environment-induced flip is visible inside one
+  // artifact.
   if (spec.arrivals.enabled()) {
-    // The online ranking of the same instances, next to the makespan
-    // ranking above, so an environment-induced flip is visible inside
-    // one artifact.
-    w.key("online_ranking");
-    w.begin_array();
-    for (const std::string& policy : online_ranking(result)) {
-      w.value(policy);
-    }
-    w.end_array();
+    emit_names("online_ranking", online_ranking(ranking));
   }
-
+  // The fault-free ranking of the *same* instances and seeds, so a
+  // robustness-induced flip is visible inside one artifact.
   if (spec.faults.enabled()) {
-    // The fault-free ranking of the *same* instances and seeds, so a
-    // robustness-induced flip is visible inside one artifact.
-    w.key("fault_free_ranking");
-    w.begin_array();
-    for (const std::string& policy : fault_free_ranking(result)) {
-      w.value(policy);
-    }
-    w.end_array();
+    emit_names("fault_free_ranking", fault_free_ranking(result));
   }
 
   w.end_object();
@@ -698,30 +565,42 @@ std::string per_instance_csv(const SweepResult& result) {
 
 std::string render_summary_table(const SweepResult& result,
                                  const std::vector<PolicySummary>& ranking) {
+  // `cells` followed by one paired comparison: better/worse, the sign and
+  // Wilcoxon p-values when `raw_p`, then the Holm p-value — all "-" on
+  // the leader's row.
+  const auto with_paired = [](std::vector<std::string> cells,
+                              const PairedComparison& c, bool leader,
+                              bool raw_p) {
+    const std::size_t first = cells.size();
+    cells.push_back(std::to_string(c.better) + "/" + std::to_string(c.worse));
+    if (raw_p) {
+      cells.push_back(format_fixed(c.sign_p, 4));
+      cells.push_back(format_fixed(c.wilcoxon_p, 4));
+    }
+    cells.push_back(format_fixed(c.wilcoxon_p_holm, 4));
+    if (leader) {
+      std::fill(cells.begin() + static_cast<std::ptrdiff_t>(first),
+                cells.end(), "-");
+    }
+    return cells;
+  };
+
   TableWriter table({"rank", "policy", "win rate", "geomean", "mean", "p50",
                      "p90", "max", "mean makespan", "timeouts", "plan gap",
                      "vs best", "p(sign)", "p(wilcoxon)", "p(holm)"});
-  int rank = 1;
-  for (const PolicySummary& s : ranking) {
-    const bool is_best = rank == 1;
-    table.add_row({std::to_string(rank++), s.policy,
-                   format_percent(100.0 * s.win_rate, 1),
-                   format_fixed(s.geomean_ratio, 4),
-                   format_fixed(s.mean_ratio, 4),
-                   format_fixed(s.p50_ratio, 4),
-                   format_fixed(s.p90_ratio, 4),
-                   format_fixed(s.max_ratio, 4),
-                   format_fixed(s.mean_makespan_us, 1) + "us",
-                   std::to_string(s.timed_out),
-                   s.plan_gap_geomean > 0
-                       ? format_fixed(s.plan_gap_geomean, 4)
-                       : "-",
-                   is_best ? "-"
-                           : std::to_string(s.better_than_best) + "/" +
-                                 std::to_string(s.worse_than_best),
-                   is_best ? "-" : format_fixed(s.sign_p, 4),
-                   is_best ? "-" : format_fixed(s.wilcoxon_p, 4),
-                   is_best ? "-" : format_fixed(s.wilcoxon_p_holm, 4)});
+  for (std::size_t i = 0; i < ranking.size(); ++i) {
+    const PolicySummary& s = ranking[i];
+    table.add_row(with_paired(
+        {std::to_string(i + 1), s.policy,
+         format_percent(100.0 * s.win_rate, 1),
+         format_fixed(s.geomean_ratio, 4), format_fixed(s.mean_ratio, 4),
+         format_fixed(s.p50_ratio, 4), format_fixed(s.p90_ratio, 4),
+         format_fixed(s.max_ratio, 4),
+         format_fixed(s.mean_makespan_us, 1) + "us",
+         std::to_string(s.timed_out),
+         s.plan_gap_geomean > 0 ? format_fixed(s.plan_gap_geomean, 4)
+                                : "-"},
+        s.vs_best, i == 0, /*raw_p=*/true));
   }
   std::string out = "Sweep: " +
                     std::to_string(result.instances.size()) +
@@ -737,27 +616,15 @@ std::string render_summary_table(const SweepResult& result,
     TableWriter robustness({"policy", "success", "geomean degr", "p99 degr",
                             "retries", "restarts", "vs least",
                             "p(holm)"});
-    const PolicySummary* least = nullptr;
-    for (const PolicySummary& s : ranking) {
-      if (least == nullptr ||
-          std::tie(s.geomean_degradation, s.failures, s.policy) <
-              std::tie(least->geomean_degradation, least->failures,
-                       least->policy)) {
-        least = &s;
-      }
-    }
-    for (const PolicySummary& s : ranking) {
-      const bool leader = &s == least;
-      robustness.add_row(
+    const std::size_t leader = leader_row(ranking, robustness_before);
+    for (std::size_t i = 0; i < ranking.size(); ++i) {
+      const PolicySummary& s = ranking[i];
+      robustness.add_row(with_paired(
           {s.policy, format_percent(100.0 * s.success_rate, 1),
            format_fixed(s.geomean_degradation, 4),
            format_fixed(s.p99_degradation, 4),
-           format_fixed(s.mean_retries, 2),
-           format_fixed(s.mean_restarts, 2),
-           leader ? "-"
-                  : std::to_string(s.robust_better) + "/" +
-                        std::to_string(s.robust_worse),
-           leader ? "-" : format_fixed(s.robust_wilcoxon_p_holm, 4)});
+           format_fixed(s.mean_retries, 2), format_fixed(s.mean_restarts, 2)},
+          s.vs_least_degrading, i == leader, /*raw_p=*/false));
     }
     out += "\nRobustness: degradation = faulted makespan / paired "
            "fault-free baseline (failures count as 8x); vs least = "
@@ -768,26 +635,15 @@ std::string render_summary_table(const SweepResult& result,
   if (result.spec.arrivals.enabled()) {
     TableWriter online({"policy", "hit rate", "flow geomean", "p99 resp",
                         "max late", "vs leader", "p(holm)"});
-    const PolicySummary* leader = nullptr;
-    for (const PolicySummary& s : ranking) {
-      if (leader == nullptr ||
-          std::tie(leader->mean_hit_rate, s.geomean_flow_ratio, s.policy) <
-              std::tie(s.mean_hit_rate, leader->geomean_flow_ratio,
-                       leader->policy)) {
-        leader = &s;
-      }
-    }
-    for (const PolicySummary& s : ranking) {
-      const bool is_leader = &s == leader;
-      online.add_row(
+    const std::size_t leader = leader_row(ranking, online_before);
+    for (std::size_t i = 0; i < ranking.size(); ++i) {
+      const PolicySummary& s = ranking[i];
+      online.add_row(with_paired(
           {s.policy, format_percent(100.0 * s.mean_hit_rate, 1),
            format_fixed(s.geomean_flow_ratio, 4),
            format_fixed(s.mean_p99_response_us, 1) + "us",
-           format_fixed(s.mean_max_lateness_us, 1) + "us",
-           is_leader ? "-"
-                     : std::to_string(s.online_better) + "/" +
-                           std::to_string(s.online_worse),
-           is_leader ? "-" : format_fixed(s.online_wilcoxon_p_holm, 4)});
+           format_fixed(s.mean_max_lateness_us, 1) + "us"},
+          s.vs_online_leader, i == leader, /*raw_p=*/false));
     }
     out += "\nOnline: flow ratio = weighted flow time / per-instance best; "
            "vs leader = wins/losses (weighted flow) against the online "

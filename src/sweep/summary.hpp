@@ -19,6 +19,7 @@
 // may differ by ULPs between C libraries); the underlying integer
 // makespans are bit-reproducible everywhere.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -26,9 +27,29 @@
 
 namespace dagsched::sweep {
 
+/// A paired comparison of one policy against a leader over every
+/// instance of the sweep.  Every policy ran the same instances, so its
+/// per-instance figures and the leader's are matched pairs: a sign test
+/// over the strict win/loss counts and a Wilcoxon signed-rank test over
+/// the log differences say whether a ranking gap is statistically
+/// meaningful or an artifact of this instance draw (small p: genuinely
+/// different).  All non-leader rows test against the same leader, so
+/// their Wilcoxon p-values form one family of simultaneous comparisons,
+/// Holm-Bonferroni-adjusted in ranking order to keep the family-wise
+/// error rate honest for wide policy sets.  The leader's own row keeps
+/// these neutral defaults.
+struct PairedComparison {
+  int better = 0;  ///< instances strictly better than the leader
+  int worse = 0;   ///< instances strictly worse than the leader
+  double sign_p = 1.0;           ///< two-sided paired sign-test p-value
+  double wilcoxon_p = 1.0;       ///< two-sided Wilcoxon signed-rank p
+  double wilcoxon_p_holm = 1.0;  ///< wilcoxon_p, Holm-adjusted
+};
+
 /// Aggregate outcome of one policy over every instance of the sweep.
 struct PolicySummary {
   std::string policy;
+  std::size_t spec_index = 0;  ///< the policy's index in spec.policies
   int wins = 0;             ///< instances where the policy matched the best
   double win_rate = 0.0;    ///< wins / instances
   double geomean_ratio = 0.0;  ///< geometric mean makespan ratio (>= 1)
@@ -48,62 +69,36 @@ struct PolicySummary {
   /// optimistic; < 1 pessimistic.  0.0 when the policy reports no plan
   /// (no `offline_plan` capability) on any instance.
   double plan_gap_geomean = 0.0;
-
-  /// Paired comparison against the *top-ranked* policy of the same sweep
-  /// (all 1.0 / 0 for the top-ranked row itself): per-instance makespans
-  /// are matched pairs, so a sign test over win/loss counts and a
-  /// Wilcoxon signed-rank test over log-makespan differences say whether
-  /// the gap in the ranking is statistically meaningful or noise.  Small
-  /// p: the policy genuinely differs from the leader; large p: the
-  /// ranking gap could be an artifact of this instance draw.
-  int better_than_best = 0;  ///< instances strictly faster than the leader
-  int worse_than_best = 0;   ///< instances strictly slower than the leader
-  double sign_p = 1.0;       ///< two-sided paired sign-test p-value
-  double wilcoxon_p = 1.0;   ///< two-sided Wilcoxon signed-rank p-value
-  /// Holm-Bonferroni-adjusted wilcoxon_p over the vs-best family (every
-  /// non-leader row tests against the same leader, so the m - 1 p-values
-  /// form one family of simultaneous comparisons; the adjustment keeps
-  /// the family-wise error rate honest for wide policy sets).  1.0 for
-  /// the leader.
-  double wilcoxon_p_holm = 1.0;
+  /// Makespans against the top-ranked policy (compared as exact integers).
+  PairedComparison vs_best;
 
   /// Fault-injection robustness (meaningful only when the sweep's
   /// FaultAblation is enabled; neutral defaults otherwise).  The
   /// degradation of a cell is its faulted makespan divided by its paired
   /// fault-free baseline (same policy seed) — failed cells count as 8.
-  /// The vs-least family mirrors vs_best with the *least-degrading*
-  /// policy as the leader, answering "which policy degrades least, and is
-  /// that ranking statistically meaningful?".
   int failures = 0;                 ///< faulted runs that hit SimFailure
   double success_rate = 1.0;        ///< 1 - failures / instances
   double mean_retries = 0.0;        ///< retransmissions per faulted run
   double mean_restarts = 0.0;       ///< task re-executions per faulted run
   double geomean_degradation = 0.0; ///< geometric mean degradation ratio
   double p99_degradation = 0.0;     ///< tail degradation
-  int robust_better = 0;   ///< instances degrading less than the leader
-  int robust_worse = 0;    ///< instances degrading more than the leader
-  double robust_sign_p = 1.0;
-  double robust_wilcoxon_p = 1.0;
-  double robust_wilcoxon_p_holm = 1.0;
+  /// Degradations against the least-degrading policy (smallest geomean
+  /// degradation, then fewest failures, then the name).
+  PairedComparison vs_least_degrading;
 
   /// Online arrival-stream metrics (meaningful only when the sweep's
   /// ArrivalAblation is enabled; neutral defaults otherwise).  The flow
   /// ratio of a cell is its weighted flow time divided by the best
   /// weighted flow any policy achieved on that instance (>= 1), the
-  /// online analogue of the makespan ratio.  The vs-online-leader family
-  /// mirrors vs_best with the *online leader* — best mean deadline
-  /// hit-rate, ties toward the smallest flow geomean, then the name — so
-  /// the artifact can say whether an online ranking flip against the
-  /// makespan ranking is statistically meaningful.
+  /// online analogue of the makespan ratio.
   double mean_hit_rate = 1.0;        ///< mean deadline hit-rate
   double geomean_flow_ratio = 0.0;   ///< geometric mean weighted-flow ratio
   double mean_p99_response_us = 0.0; ///< mean nearest-rank p99 response
   double mean_max_lateness_us = 0.0; ///< mean worst deadline overshoot
-  int online_better = 0;  ///< instances with lower flow than the leader
-  int online_worse = 0;   ///< instances with higher flow than the leader
-  double online_sign_p = 1.0;
-  double online_wilcoxon_p = 1.0;
-  double online_wilcoxon_p_holm = 1.0;
+  /// Weighted flows against the online leader (best mean hit-rate, then
+  /// the smallest flow geomean, then the name), so the artifact can say
+  /// whether an online ranking flip is statistically meaningful.
+  PairedComparison vs_online_leader;
 };
 
 /// Computes the per-policy summaries, ranked best (rank 0) to worst.
@@ -111,18 +106,19 @@ std::vector<PolicySummary> summarize(const SweepResult& result);
 
 /// Policy canonical names ranked by the *fault-free* geomean makespan
 /// ratio (the base_makespans baselines; requires the sweep's
-/// FaultAblation to be enabled).  The summary JSON embeds it next to the
-/// faulted ranking so a robustness-induced ranking flip is visible in one
-/// artifact.
+/// FaultAblation to be enabled), with the makespan ranking's tie rules.
+/// The summary JSON embeds it next to the faulted ranking so a
+/// robustness-induced ranking flip is visible in one artifact.
 std::vector<std::string> fault_free_ranking(const SweepResult& result);
 
-/// Policy canonical names ranked by the *online* figures of merit — mean
-/// deadline hit-rate (descending), then geomean weighted-flow ratio, then
-/// name; requires the sweep's ArrivalAblation to be enabled.  The summary
-/// JSON embeds it next to the makespan ranking so an
-/// environment-induced ranking flip (offline leader losing under bursty
-/// arrivals) is visible in one artifact.
-std::vector<std::string> online_ranking(const SweepResult& result);
+/// The policy names of `ranking` (summarize()'s output for a sweep with
+/// its ArrivalAblation enabled) re-ranked by the *online* figures of
+/// merit — mean deadline hit-rate (descending), then geomean
+/// weighted-flow ratio, then name.  The summary JSON embeds it next to
+/// the makespan ranking so an environment-induced ranking flip (offline
+/// leader losing under bursty arrivals) is visible in one artifact.
+std::vector<std::string> online_ranking(
+    const std::vector<PolicySummary>& ranking);
 
 /// Renders the deterministic summary artifact: spec echo (seed, comm,
 /// topologies, policies, families), instance count, and the ranking.

@@ -434,7 +434,7 @@ TEST(OnlineSweep, OnlineColumnsAreFilledAndRangedDrawsStayInRange) {
     EXPECT_GE(s.mean_hit_rate, 0.0);
     EXPECT_LE(s.mean_hit_rate, 1.0);
   }
-  const auto online = sweep::online_ranking(result);
+  const auto online = sweep::online_ranking(ranking);
   EXPECT_EQ(online.size(), spec.policies.size());
 
   const std::string json = sweep::summary_json(result, ranking);

@@ -436,24 +436,24 @@ TEST(SweepSummary, SignificanceColumnsAreConsistent) {
       sweep::summarize(result);
   ASSERT_EQ(ranking.size(), 4u);
   // The leader carries the neutral defaults.
-  EXPECT_EQ(ranking[0].better_than_best, 0);
-  EXPECT_EQ(ranking[0].worse_than_best, 0);
-  EXPECT_DOUBLE_EQ(ranking[0].sign_p, 1.0);
-  EXPECT_DOUBLE_EQ(ranking[0].wilcoxon_p, 1.0);
+  EXPECT_EQ(ranking[0].vs_best.better, 0);
+  EXPECT_EQ(ranking[0].vs_best.worse, 0);
+  EXPECT_DOUBLE_EQ(ranking[0].vs_best.sign_p, 1.0);
+  EXPECT_DOUBLE_EQ(ranking[0].vs_best.wilcoxon_p, 1.0);
   const int instances = static_cast<int>(result.instances.size());
   for (std::size_t i = 1; i < ranking.size(); ++i) {
-    const sweep::PolicySummary& s = ranking[i];
-    EXPECT_GE(s.better_than_best, 0);
-    EXPECT_GE(s.worse_than_best, 0);
-    EXPECT_LE(s.better_than_best + s.worse_than_best, instances);
-    EXPECT_GT(s.sign_p, 0.0);
-    EXPECT_LE(s.sign_p, 1.0);
-    EXPECT_GT(s.wilcoxon_p, 0.0);
-    EXPECT_LE(s.wilcoxon_p, 1.0);
+    const sweep::PairedComparison& c = ranking[i].vs_best;
+    EXPECT_GE(c.better, 0);
+    EXPECT_GE(c.worse, 0);
+    EXPECT_LE(c.better + c.worse, instances);
+    EXPECT_GT(c.sign_p, 0.0);
+    EXPECT_LE(c.sign_p, 1.0);
+    EXPECT_GT(c.wilcoxon_p, 0.0);
+    EXPECT_LE(c.wilcoxon_p, 1.0);
   }
   // The sanity baseline loses to the leader decisively.
-  const sweep::PolicySummary& worst = ranking.back();
-  EXPECT_GT(worst.worse_than_best, worst.better_than_best);
+  const sweep::PairedComparison& worst = ranking.back().vs_best;
+  EXPECT_GT(worst.worse, worst.better);
 }
 
 TEST(SweepSpec, ParsesPolicyHyperparameters) {
@@ -565,11 +565,12 @@ TEST(SweepSummary, HolmColumnIsConsistent) {
   const sweep::SweepResult result = sweep::run_sweep(spec);
   const std::vector<sweep::PolicySummary> ranking =
       sweep::summarize(result);
-  EXPECT_DOUBLE_EQ(ranking[0].wilcoxon_p_holm, 1.0);  // leader neutral
+  EXPECT_DOUBLE_EQ(ranking[0].vs_best.wilcoxon_p_holm, 1.0);  // leader
   for (std::size_t i = 1; i < ranking.size(); ++i) {
     // Holm only ever inflates a p-value, never past 1.
-    EXPECT_GE(ranking[i].wilcoxon_p_holm, ranking[i].wilcoxon_p);
-    EXPECT_LE(ranking[i].wilcoxon_p_holm, 1.0);
+    const sweep::PairedComparison& c = ranking[i].vs_best;
+    EXPECT_GE(c.wilcoxon_p_holm, c.wilcoxon_p);
+    EXPECT_LE(c.wilcoxon_p_holm, 1.0);
   }
   const std::string json = sweep::summary_json(result, ranking);
   EXPECT_NE(json.find("\"wilcoxon_p_holm\""), std::string::npos);
@@ -640,22 +641,13 @@ sweep::SweepResult hand_built_result() {
   return result;
 }
 
-// One paired-comparison family as read off a PolicySummary.
-struct FamilyView {
-  int better;
-  int worse;
-  double sign_p;
-  double wilcoxon_p;
-  double wilcoxon_p_holm;
-};
-
 // Asserts one family: the leader keeps the neutral defaults, every other
 // row carries the given strict better/worse counts against the leader,
 // the sign and Wilcoxon (over log differences of `metric`) p-values, and
 // Holm adjusts the non-leader rows' Wilcoxon p-values in ranking order.
 void expect_family(
     const std::vector<sweep::PolicySummary>& ranking,
-    const std::function<FamilyView(const sweep::PolicySummary&)>& view,
+    sweep::PairedComparison sweep::PolicySummary::*family,
     const std::string& leader,
     const std::map<std::string, std::pair<int, int>>& better_worse,
     const std::function<std::vector<double>(const HandBuiltPolicy&)>&
@@ -670,7 +662,7 @@ void expect_family(
   std::vector<double> raw;
   for (const sweep::PolicySummary& s : ranking) {
     SCOPED_TRACE(s.policy);
-    const FamilyView v = view(s);
+    const sweep::PairedComparison& v = s.*family;
     if (s.policy == leader) {
       EXPECT_EQ(v.better, 0);
       EXPECT_EQ(v.worse, 0);
@@ -695,7 +687,7 @@ void expect_family(
   std::size_t k = 0;
   for (const sweep::PolicySummary& s : ranking) {
     if (s.policy == leader) continue;
-    EXPECT_DOUBLE_EQ(view(s).wilcoxon_p_holm, holm[k++]) << s.policy;
+    EXPECT_DOUBLE_EQ((s.*family).wilcoxon_p_holm, holm[k++]) << s.policy;
   }
 }
 
@@ -753,10 +745,7 @@ TEST(SweepSummary, PairedFamiliesOnHandBuiltResult) {
     SCOPED_TRACE("vs_best");
     expect_family(
         ranking,
-        [](const sweep::PolicySummary& s) {
-          return FamilyView{s.better_than_best, s.worse_than_best, s.sign_p,
-                            s.wilcoxon_p, s.wilcoxon_p_holm};
-        },
+        &sweep::PolicySummary::vs_best,
         "alpha", {{"bravo", {1, 3}}, {"charlie", {0, 5}}, {"delta", {0, 6}}},
         [](const HandBuiltPolicy& p) { return p.makespans; });
   }
@@ -764,10 +753,7 @@ TEST(SweepSummary, PairedFamiliesOnHandBuiltResult) {
     SCOPED_TRACE("vs_least_degrading");
     expect_family(
         ranking,
-        [](const sweep::PolicySummary& s) {
-          return FamilyView{s.robust_better, s.robust_worse, s.robust_sign_p,
-                            s.robust_wilcoxon_p, s.robust_wilcoxon_p_holm};
-        },
+        &sweep::PolicySummary::vs_least_degrading,
         "bravo", {{"alpha", {0, 6}}, {"charlie", {1, 4}}, {"delta", {2, 3}}},
         [](const HandBuiltPolicy& p) {
           std::vector<double> degradation;
@@ -781,10 +767,7 @@ TEST(SweepSummary, PairedFamiliesOnHandBuiltResult) {
     SCOPED_TRACE("vs_online_leader");
     expect_family(
         ranking,
-        [](const sweep::PolicySummary& s) {
-          return FamilyView{s.online_better, s.online_worse, s.online_sign_p,
-                            s.online_wilcoxon_p, s.online_wilcoxon_p_holm};
-        },
+        &sweep::PolicySummary::vs_online_leader,
         "delta", {{"alpha", {2, 2}}, {"bravo", {4, 2}}, {"charlie", {1, 4}}},
         [](const HandBuiltPolicy& p) { return p.weighted_flow_us; });
   }
