@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <initializer_list>
-#include <span>
 #include <tuple>
 #include <utility>
 
@@ -315,20 +313,17 @@ std::string summary_json(const SweepResult& result,
       w.end_array();
     }
   };
-  // Key names come from the ParamDef tables (params.hpp), the same names
-  // the spec parser accepts.
-  const auto emit_params =
-      [&](std::span<const ParamDef> defs,
-          std::initializer_list<const ParamRange*> ranges) {
-        require(defs.size() == ranges.size(),
-                "summary_json: ParamDef table out of sync");
-        std::size_t i = 0;
-        for (const ParamRange* range : ranges) {
-          w.key(defs[i++].name);
-          emit_range(*range);
-        }
-      };
-  emit_params(comm_param_defs(), {&spec.comm.sigma_us, &spec.comm.tau_us});
+  // Key names come from the comm ParamDef table (params.hpp), the same
+  // names the spec parser accepts.
+  const auto comm_defs = comm_param_defs();
+  const ParamRange* comm_ranges[] = {&spec.comm.sigma_us,
+                                     &spec.comm.tau_us};
+  require(comm_defs.size() == std::size(comm_ranges),
+          "summary_json: comm ParamDef table out of sync");
+  for (std::size_t i = 0; i < comm_defs.size(); ++i) {
+    w.key(comm_defs[i].name);
+    emit_range(*comm_ranges[i]);
+  }
   w.key("comm_send_cpu");
   w.begin_array();
   for (SendCpu mode : spec.comm.send_cpu) {
@@ -338,24 +333,37 @@ std::string summary_json(const SweepResult& result,
   // Fault-ablation echo, only when enabled — zero-fault sweeps keep
   // their historical artifacts byte for byte.
   if (spec.faults.enabled()) {
-    emit_params(fault_param_defs(),
-                {&spec.faults.machine_mtbf_us, &spec.faults.machine_mttr_us,
-                 &spec.faults.stall_mtbf_us, &spec.faults.stall_us,
-                 &spec.faults.link_mtbf_us, &spec.faults.link_mttr_us,
-                 &spec.faults.link_drop_prob,
-                 &spec.faults.link_degrade_factor,
-                 &spec.faults.msg_timeout_us, &spec.faults.retry_backoff_us});
+    const auto fault_defs = fault_param_defs();
+    const ParamRange* fault_ranges[] = {
+        &spec.faults.machine_mtbf_us, &spec.faults.machine_mttr_us,
+        &spec.faults.stall_mtbf_us,   &spec.faults.stall_us,
+        &spec.faults.link_mtbf_us,    &spec.faults.link_mttr_us,
+        &spec.faults.link_drop_prob,  &spec.faults.link_degrade_factor,
+        &spec.faults.msg_timeout_us,  &spec.faults.retry_backoff_us};
+    require(fault_defs.size() == std::size(fault_ranges),
+            "summary_json: fault ParamDef table out of sync");
+    for (std::size_t i = 0; i < fault_defs.size(); ++i) {
+      w.key(fault_defs[i].name);
+      emit_range(*fault_ranges[i]);
+    }
     w.key("fault_max_retries");
     w.value(spec.faults.max_retries);
   }
   // Arrival-ablation echo, only when enabled — offline sweeps keep their
   // historical artifacts byte for byte.
   if (spec.arrivals.enabled()) {
-    emit_params(arrival_param_defs(),
-                {&spec.arrivals.count, &spec.arrivals.gap_us,
-                 &spec.arrivals.burst_prob, &spec.arrivals.burst_mult,
-                 &spec.arrivals.deadline_slack, &spec.arrivals.jitter,
-                 &spec.arrivals.weight_max});
+    const auto arrival_defs = arrival_param_defs();
+    const ParamRange* arrival_ranges[] = {
+        &spec.arrivals.count,          &spec.arrivals.gap_us,
+        &spec.arrivals.burst_prob,     &spec.arrivals.burst_mult,
+        &spec.arrivals.deadline_slack, &spec.arrivals.jitter,
+        &spec.arrivals.weight_max};
+    require(arrival_defs.size() == std::size(arrival_ranges),
+            "summary_json: arrival ParamDef table out of sync");
+    for (std::size_t i = 0; i < arrival_defs.size(); ++i) {
+      w.key(arrival_defs[i].name);
+      emit_range(*arrival_ranges[i]);
+    }
   }
   // Echo the *resolved* oracle kind: the default kAuto resolves through
   // the registry's capability traits, and emitting the resolution keeps
@@ -386,7 +394,14 @@ std::string summary_json(const SweepResult& result,
       w.begin_object();
       for (const FamilyParam& param : family.params) {
         w.key(param.name);
-        emit_range(param.range);
+        if (param.range.is_single()) {
+          w.value(param.range.lo);
+        } else {
+          w.begin_array();
+          w.value(param.range.lo);
+          w.value(param.range.hi);
+          w.end_array();
+        }
       }
       w.end_object();
     }
