@@ -19,6 +19,12 @@ struct Cell {
   const char* topo_spec;
 };
 
+// Print the cell by name: without this gtest lists the raw bytes of the two
+// pointers, and the discovered test names change with every load address.
+void PrintTo(const Cell& cell, std::ostream* os) {
+  *os << cell.program << '/' << cell.topo_spec;
+}
+
 class PaperGrid : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(PaperGrid, SpeedupsAreWithinPhysicalBounds) {

@@ -111,6 +111,12 @@ struct FixtureCase {
   bool expects_findings;
 };
 
+// Print the fixture by file name: without this gtest lists the raw bytes of
+// the pointer, and the discovered test names change with every load address.
+void PrintTo(const FixtureCase& fixture, std::ostream* os) {
+  *os << fixture.name;
+}
+
 class LintFixture : public ::testing::TestWithParam<FixtureCase> {};
 
 TEST_P(LintFixture, MatchesGolden) {
